@@ -90,6 +90,9 @@ type System struct {
 
 	cores []*core
 	banks []*Cache
+	// appNodes[app] is app's region node list (region.Map.Nodes, computed
+	// once in New) so HomeBank does not rebuild it on every L1 miss.
+	appNodes [][]int
 	// dirs is the per-bank sharer directory: block -> bitmask of sharer
 	// cores, maintained for blocks resident in the bank. Writes to shared
 	// blocks trigger L1 invalidations (a lightweight MSI-style protocol:
@@ -146,6 +149,10 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 		mcs:     corners[:],
 		delayed: make(map[int64][]pending),
 	}
+	s.appNodes = make([][]int, regions.NumApps())
+	for app := range s.appNodes {
+		s.appNodes[app] = regions.Nodes(app)
+	}
 	s.dirs = make([]map[uint64]uint64, mesh.N())
 	for n := 0; n < mesh.N(); n++ {
 		s.banks[n] = NewCache(cfg.L2Size, cfg.L2Ways, cfg.Block)
@@ -165,20 +172,25 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 // application: a deterministic hash places the block within the
 // application's own region with probability 1-SharedFrac, else anywhere on
 // the chip. This is the cooperative-cache / region-aware home mapping that
-// turns the NoC into an RNoC.
+// turns the NoC into an RNoC. An application without a region (Unassigned
+// or unknown) homes every block anywhere on the chip. HomeBank does not
+// allocate: it runs on every L1 miss.
 func (s *System) HomeBank(app int, addr uint64) int {
 	block := addr / uint64(s.cfg.Block)
 	h := splitmix(block ^ (uint64(app+1) << 56))
-	mesh := s.regions.Mesh()
-	nodes := s.regions.Nodes(app)
-	if app == region.Unassigned || len(nodes) == 0 {
-		return int(h % uint64(mesh.N()))
+	n := uint64(len(s.banks))
+	var nodes []int
+	if app >= 0 && app < len(s.appNodes) {
+		nodes = s.appNodes[app]
+	}
+	if len(nodes) == 0 {
+		return int(h % n)
 	}
 	// Low bits pick the bank; a separate hash slice decides in/out of
 	// region so the two choices are independent.
 	outOf := float64((h>>32)&0xffff)/65536.0 < s.cfg.SharedFrac
 	if outOf {
-		return int(h % uint64(mesh.N()))
+		return int(h % n)
 	}
 	return nodes[int(h%uint64(len(nodes)))]
 }
@@ -212,6 +224,7 @@ func (s *System) nearestMC(node int) int {
 // (which would otherwise saturate the four memory controllers for the whole
 // run).
 func (s *System) Prewarm(accessesPerCore int) {
+	coherent := len(s.banks) <= 64 // see updateDirectory
 	for _, c := range s.cores {
 		if c.stream == nil {
 			continue
@@ -226,7 +239,7 @@ func (s *System) Prewarm(accessesPerCore int) {
 			}
 			home := s.HomeBank(c.app, a.Addr)
 			s.banks[home].Access(a.Addr)
-			if s.regions.Mesh().N() <= 64 {
+			if coherent {
 				block := a.Addr / uint64(s.cfg.Block)
 				me := uint64(1) << uint(c.node%64)
 				if a.Write {

@@ -112,6 +112,65 @@ func TestHomeBankUnassignedApp(t *testing.T) {
 	}
 }
 
+// TestHomeBankMatchesRegionNodes checks the precomputed node lists against
+// the mapping spelled out with region.Map.Nodes, for every application,
+// Unassigned and an application with no region, on a layout that leaves
+// nodes unassigned.
+func TestHomeBankMatchesRegionNodes(t *testing.T) {
+	mesh := topology.NewMesh(4, 4)
+	regs := region.New(mesh)
+	for n := 0; n < 6; n++ {
+		regs.Assign(n, 0)
+	}
+	regs.Assign(9, 2) // app 1 has no nodes
+	for n := 12; n < 16; n++ {
+		regs.Assign(n, 3)
+	}
+	cfg := DefaultSystemConfig()
+	cfg.SharedFrac = 0.3
+	sys := New(cfg, regs, make([]AddressStream, mesh.N()), 1, func(int, *msg.Packet, int64) {})
+	want := func(app int, addr uint64) int {
+		h := splitmix(addr/uint64(cfg.Block) ^ (uint64(app+1) << 56))
+		nodes := regs.Nodes(app)
+		if app == region.Unassigned || len(nodes) == 0 ||
+			float64((h>>32)&0xffff)/65536.0 < cfg.SharedFrac {
+			return int(h % uint64(mesh.N()))
+		}
+		return nodes[int(h%uint64(len(nodes)))]
+	}
+	for _, app := range []int{region.Unassigned, 0, 1, 2, 3, 4, 99} {
+		for b := uint64(0); b < 2000; b++ {
+			if got, w := sys.HomeBank(app, b*64), want(app, b*64); got != w {
+				t.Fatalf("HomeBank(%d, %#x) = %d, want %d", app, b*64, got, w)
+			}
+		}
+	}
+}
+
+// TestHomeBankDoesNotAllocate guards the per-L1-miss path: in-region and
+// out-of-region homes, and an application without a region.
+func TestHomeBankDoesNotAllocate(t *testing.T) {
+	sys, _ := quadSys(nilStreams(), DefaultSystemConfig())
+	regs := region.Quadrants(topology.NewMesh(8, 8))
+	var in, out uint64
+	for b := uint64(0); in == 0 || out == 0; b++ {
+		if regs.AppAt(sys.HomeBank(2, b*64)) == 2 {
+			in = b * 64
+		} else {
+			out = b * 64
+		}
+	}
+	for _, c := range []struct {
+		name string
+		app  int
+		addr uint64
+	}{{"in-region", 2, in}, {"out-of-region", 2, out}, {"unassigned", region.Unassigned, in}} {
+		if n := testing.AllocsPerRun(1000, func() { sys.HomeBank(c.app, c.addr) }); n != 0 {
+			t.Errorf("%s HomeBank allocates %v times per call", c.name, n)
+		}
+	}
+}
+
 func TestNearestMC(t *testing.T) {
 	sys, _ := quadSys(nilStreams(), DefaultSystemConfig())
 	mesh := topology.NewMesh(8, 8)

@@ -138,6 +138,8 @@ type engine struct {
 	cmd  []chan enginePhase
 	done chan struct{}
 	stop sync.Once
+	// workers counts the running worker goroutines; close waits on it.
+	workers sync.WaitGroup
 }
 
 // newEngine partitions nodes into max(1, workers) contiguous shards (capped
@@ -154,6 +156,7 @@ func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, 
 	if s > 1 {
 		e.cmd = make([]chan enginePhase, s-1)
 		e.done = make(chan struct{}, s-1)
+		e.workers.Add(len(e.cmd))
 		for i := range e.cmd {
 			e.cmd[i] = make(chan enginePhase)
 			go e.worker(e.cmd[i], e.shards[i+1])
@@ -224,6 +227,7 @@ func (e *engine) shardOf(id int) *shard {
 }
 
 func (e *engine) worker(cmd chan enginePhase, sh *shard) {
+	defer e.workers.Done()
 	for ph := range cmd {
 		e.exec(sh, ph)
 		e.done <- struct{}{}
@@ -253,13 +257,16 @@ func (e *engine) run(ph enginePhase) {
 	}
 }
 
-// close stops the worker goroutines. Idempotent; the Network calls it from
-// Close and from its finalizer.
+// close stops the worker goroutines and returns once they have exited, so
+// none still holds the engine. Idempotent; the Network calls it from Close
+// and from its finalizer. Workers are parked between phases whenever close
+// can run, so the wait is short.
 func (e *engine) close() {
 	e.stop.Do(func() {
 		for _, c := range e.cmd {
 			close(c)
 		}
+		e.workers.Wait()
 	})
 }
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rair/internal/msg"
@@ -31,6 +32,23 @@ func buildWorkers(t testing.TB, workers int, sel func(*region.Map) routing.Selec
 	})
 	t.Cleanup(n.Close)
 	return n, &delivered
+}
+
+// TestCloseWaitsForWorkers checks that Close returns only after the sharded
+// workers have exited: the goroutine count is back at its baseline at once,
+// with no polling, and a second Close is a no-op.
+func TestCloseWaitsForWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n, delivered := buildWorkers(t, 2, localSel)
+	if got := runtime.NumGoroutine(); got != base+1 {
+		t.Fatalf("2-worker network runs %d goroutines over the baseline, want 1", got-base)
+	}
+	driveRandom(t, n, delivered)
+	n.Close()
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("%d goroutines after Close, want baseline %d", got, base)
+	}
+	n.Close()
 }
 
 func localSel(*region.Map) routing.Selector { return routing.LocalSelector{} }

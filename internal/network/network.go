@@ -349,8 +349,8 @@ func (n *Network) wire(src int, dir topology.Dir, dst int) {
 	})
 }
 
-// Close stops the tick engine's worker goroutines. Safe to call multiple
-// times; a no-op for serial networks.
+// Close stops the tick engine's worker goroutines and waits for them to
+// exit. Safe to call multiple times; a no-op for serial networks.
 func (n *Network) Close() {
 	runtime.SetFinalizer(n, nil)
 	n.eng.close()

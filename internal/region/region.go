@@ -52,7 +52,9 @@ func (m *Map) Assign(node, app int) {
 // AppAt returns the application owning node, or Unassigned.
 func (m *Map) AppAt(node int) int { return m.app[node] }
 
-// Nodes returns the nodes assigned to app, in id order.
+// Nodes returns the nodes assigned to app, in id order. It scans the whole
+// map and allocates a new slice on every call, so it is meant for set-up:
+// a per-access path should keep the list it got at set-up.
 func (m *Map) Nodes(app int) []int {
 	var out []int
 	for id, a := range m.app {
