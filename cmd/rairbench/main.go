@@ -32,14 +32,16 @@ import (
 
 // benchResults is the machine-readable file written by -json: a history of
 // date-keyed entries, newest last, so successive runs accumulate a record
-// instead of overwriting the previous measurement.
+// instead of overwriting the previous measurement. Entries stay raw JSON so
+// a rewrite keeps every earlier entry's fields, including ones the current
+// benchEntry no longer has.
 type benchResults struct {
-	History []benchEntry `json:"history"`
+	History []json.RawMessage `json:"history"`
 }
 
-// benchEntry is one -json measurement: simulator speed (serial engine,
-// sharded engine across a worker sweep, and the lockstep batch runner) plus
-// the paper's headline APL reductions and per-experiment wall time.
+// benchEntry is one -json measurement: simulator speed (serial engine and
+// sharded engine across a worker sweep) plus the paper's headline APL
+// reductions and per-experiment wall time.
 type benchEntry struct {
 	Date       string  `json:"date"`
 	Quick      bool    `json:"quick"`
@@ -52,11 +54,6 @@ type benchEntry struct {
 	// paying barrier costs the serial engine doesn't) — it is expected to
 	// sit below cycles_per_s_serial, not a regression.
 	CyclesPerSSharded map[string]float64 `json:"cycles_per_s_sharded"`
-	// CyclesPerSBatched is the lockstep batch runner's aggregate speed:
-	// batch_width replications advanced in one pass, total simulated
-	// cycles across the batch per wall second.
-	CyclesPerSBatched float64 `json:"cycles_per_s_batched"`
-	BatchWidth        int     `json:"batch_width"`
 	// CyclesPerSMesh32 is the 32×32-mesh (1024-router) scaling probe;
 	// ProbeCycles the simulated-cycle budget every speed probe above ran
 	// with (the -cycles flag).
@@ -90,54 +87,28 @@ type scalingPoint struct {
 	BarrierHist []int64 `json:"barrier_hist,omitempty"`
 }
 
-// legacyBenchResults is the pre-history single-object schema (sharded speed
-// as one number at one worker count); appendBenchEntry migrates it.
-type legacyBenchResults struct {
-	Date              string             `json:"date"`
-	Quick             bool               `json:"quick"`
-	Seed              uint64             `json:"seed"`
-	GOMAXPROCS        int                `json:"gomaxprocs"`
-	CyclesPerS        float64            `json:"cycles_per_s_serial"`
-	CyclesPerSSharded float64            `json:"cycles_per_s_sharded"`
-	ShardWorkers      int                `json:"shard_workers"`
-	HeadlineReduction map[string]float64 `json:"fig14_avg_apl_reduction_vs_RO_RR"`
-	Experiments       []experimentTiming `json:"experiments"`
-}
-
 type experimentTiming struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
 }
 
-// appendBenchEntry loads the results file at path (accepting both the
-// history schema and the legacy single-object schema, which it migrates to
-// history[0]), appends entry, and writes the file back.
+// appendBenchEntry appends entry to the history file at path, creating the
+// file when it does not exist. Earlier entries are kept verbatim; a file
+// that is not a {"history": [...]} object is rejected untouched.
 func appendBenchEntry(path string, entry benchEntry) error {
 	var res benchResults
 	if buf, err := os.ReadFile(path); err == nil {
-		if jerr := json.Unmarshal(buf, &res); jerr != nil || res.History == nil {
-			var legacy legacyBenchResults
-			if jerr := json.Unmarshal(buf, &legacy); jerr == nil && legacy.Date != "" {
-				res.History = []benchEntry{{
-					Date:       legacy.Date,
-					Quick:      legacy.Quick,
-					Seed:       legacy.Seed,
-					GOMAXPROCS: legacy.GOMAXPROCS,
-					CyclesPerS: legacy.CyclesPerS,
-					CyclesPerSSharded: map[string]float64{
-						strconv.Itoa(legacy.ShardWorkers): legacy.CyclesPerSSharded,
-					},
-					HeadlineReduction: legacy.HeadlineReduction,
-					Experiments:       legacy.Experiments,
-				}}
-			} else {
-				return fmt.Errorf("unrecognized results schema in %s", path)
-			}
+		if err := json.Unmarshal(buf, &res); err != nil || res.History == nil {
+			return fmt.Errorf("%s: not a results history (want a {\"history\": [...]} object)", path)
 		}
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	res.History = append(res.History, entry)
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		return err
+	}
+	res.History = append(res.History, raw)
 	buf, err := json.MarshalIndent(&res, "", "  ")
 	if err != nil {
 		return err
@@ -145,55 +116,17 @@ func appendBenchEntry(path string, entry benchEntry) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// throughput measures simulator speed in cycles/s on the standard probe (the
-// 64-node quadrant mesh under moderate uniform load with RA_RAIR, the same
-// scenario as BenchmarkSimulatorThroughput), simulating `cycles` cycles.
-// Every speed probe takes the cycle budget from the single -cycles flag so
-// the CI smoke, the saturated probe and the worker sweep cannot drift apart.
-func throughput(workers, cycles int) float64 {
-	sim, err := rair.New(rair.Config{Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1, Workers: workers})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	if _, err := sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}); err != nil {
-		panic(err)
-	}
-	return float64(cycles) / time.Since(start).Seconds()
-}
-
-// throughputMesh32 measures the scaling probe: the same quadrant scenario
-// scaled to a 32×32 mesh (1024 routers), where shard balance and cache
-// footprint, not per-router cost, dominate.
-func throughputMesh32(cycles int) float64 {
-	sim, err := rair.New(rair.Config{MeshW: 32, MeshH: 32, Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	if _, err := sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}); err != nil {
-		panic(err)
-	}
-	return float64(cycles) / time.Since(start).Seconds()
-}
-
-// scalingProbe measures one cell of the scaling sweep: the quadrant
-// scenario on a w×h mesh advanced by `workers` shards (0 = serial engine)
-// with engine self-profiling on, so the point carries both speed and the
-// barrier-wait bill behind it.
-func scalingProbe(w, h, workers, cycles int) scalingPoint {
+// probe measures simulator speed on the standard probe scenario — the
+// quadrant layout under moderate load with RA_RAIR, as in
+// BenchmarkSimulatorThroughput — on a w×h mesh advanced by `workers` shards
+// (0 = serial engine) for `cycles` cycles. Every speed probe takes the cycle
+// budget from the single -cycles flag so the CI smoke, the worker sweep and
+// the scaling curve cannot drift apart. With profile set, engine
+// self-profiling is on and the point also carries the barrier-wait bill
+// behind its speed.
+func probe(w, h, workers, cycles int, profile bool) scalingPoint {
 	sim, err := rair.New(rair.Config{MeshW: w, MeshH: h, Layout: rair.LayoutQuadrants,
-		Scheme: "RA_RAIR", Seed: 1, Workers: workers, Profile: true})
+		Scheme: "RA_RAIR", Seed: 1, Workers: workers, Profile: profile})
 	if err != nil {
 		panic(err)
 	}
@@ -237,7 +170,7 @@ func scalingSweep(workerList []int, cycles int) []scalingPoint {
 	fmt.Printf("%-8s %8s %8s %14s %22s\n", "mesh", "routers", "workers", "cycles/s", "barrier ns/cycle")
 	for _, m := range [][2]int{{32, 32}, {64, 32}, {64, 64}} {
 		for _, w := range workerList {
-			pt := scalingProbe(m[0], m[1], w, cycles)
+			pt := probe(m[0], m[1], w, cycles, true)
 			pts = append(pts, pt)
 			fmt.Printf("%-8s %8d %8d %14.0f %22.1f\n",
 				fmt.Sprintf("%dx%d", m[0], m[1]), pt.Routers, pt.Workers,
@@ -245,30 +178,6 @@ func scalingSweep(workerList []int, cycles int) []scalingPoint {
 		}
 	}
 	return pts
-}
-
-// throughputBatched measures the lockstep batch runner's aggregate speed on
-// the same probe scenario: width independent replications (seeds 1..width)
-// advanced in one pass, reported as total simulated cycles per wall second.
-func throughputBatched(width, cycles int) float64 {
-	sim, err := rair.New(rair.Config{Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	seeds := make([]uint64, width)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	start := time.Now()
-	if _, err := sim.RunBatch(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}, seeds, width); err != nil {
-		panic(err)
-	}
-	return float64(width) * float64(cycles) / time.Since(start).Seconds()
 }
 
 // obsOpts carries the observability-export flags into the probe runs:
@@ -497,7 +406,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced warmup/measurement windows")
 	name := flag.String("experiment", "", "run a single experiment (see -list)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	cycles := flag.Int("cycles", 20000, "simulated-cycle budget shared by every speed probe (-json serial/sharded/batched/mesh32)")
+	cycles := flag.Int("cycles", 20000, "simulated-cycle budget shared by every speed probe (-json serial/sharded/mesh32, -scaling)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	csvDir := flag.String("csv", "", "also write each experiment's table as CSV into this directory")
 	jsonPath := flag.String("json", "", "write a machine-readable summary (cycles/s, headline reductions, timings) to this path, e.g. BENCH_results.json")
@@ -657,7 +566,7 @@ func main() {
 	}
 
 	// Machine-readable summary: simulator speed (serial engine, sharded
-	// engine at each worker count, batch runner), the Figure 14 headline
+	// engine at each worker count, 32×32 mesh), the Figure 14 headline
 	// reductions, and the per-experiment wall times — appended to the
 	// file's history rather than overwriting it.
 	entry := benchEntry{
@@ -665,17 +574,15 @@ func main() {
 		Quick:             *quick,
 		Seed:              *seed,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		CyclesPerS:        throughput(0, *cycles),
+		CyclesPerS:        probe(8, 8, 0, *cycles, false).CyclesPerS,
 		CyclesPerSSharded: map[string]float64{},
-		CyclesPerSBatched: throughputBatched(harness.DefaultBatchWidth, *cycles),
-		BatchWidth:        harness.DefaultBatchWidth,
-		CyclesPerSMesh32:  throughputMesh32(*cycles),
+		CyclesPerSMesh32:  probe(32, 32, 0, *cycles, false).CyclesPerS,
 		ProbeCycles:       *cycles,
 		HeadlineReduction: map[string]float64{},
 		Experiments:       timings,
 	}
 	for _, w := range []int{1, 2, 4} {
-		entry.CyclesPerSSharded[strconv.Itoa(w)] = throughput(w, *cycles)
+		entry.CyclesPerSSharded[strconv.Itoa(w)] = probe(8, 8, w, *cycles, false).CyclesPerS
 	}
 	dur := harness.PaperDurations()
 	if *quick {
@@ -689,8 +596,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rairbench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%.0f cycles/s serial; sharded x1 %.0f, x2 %.0f, x4 %.0f; batched x%d %.0f; mesh32 %.0f)\n",
+	fmt.Printf("wrote %s (%.0f cycles/s serial; sharded x1 %.0f, x2 %.0f, x4 %.0f; mesh32 %.0f)\n",
 		*jsonPath, entry.CyclesPerS,
 		entry.CyclesPerSSharded["1"], entry.CyclesPerSSharded["2"], entry.CyclesPerSSharded["4"],
-		entry.BatchWidth, entry.CyclesPerSBatched, entry.CyclesPerSMesh32)
+		entry.CyclesPerSMesh32)
 }

@@ -70,10 +70,10 @@ func TestChipletRunDeterminism(t *testing.T) {
 	if ref.Packets() == 0 {
 		t.Fatal("reference run delivered nothing")
 	}
-	want := collectorSurface(ref)
+	want := ref.Surface()
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			if s := collectorSurface(Run(mkRC(workers))); s != want {
+			if s := Run(mkRC(workers)).Surface(); s != want {
 				t.Fatalf("stats diverge\n got %s\nwant %s", s, want)
 			}
 		})
@@ -97,9 +97,9 @@ func TestConcentratedRunDeterminism(t *testing.T) {
 	if ref.Packets() == 0 {
 		t.Fatal("reference run delivered nothing")
 	}
-	want := collectorSurface(ref)
+	want := ref.Surface()
 	for _, workers := range []int{2, 4} {
-		if s := collectorSurface(Run(mkRC(workers))); s != want {
+		if s := Run(mkRC(workers)).Surface(); s != want {
 			t.Fatalf("workers=%d: stats diverge\n got %s\nwant %s", workers, s, want)
 		}
 	}

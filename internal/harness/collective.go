@@ -6,7 +6,6 @@ import (
 	"rair/internal/collective"
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
 	"rair/internal/region"
 	"rair/internal/stats"
 	"rair/internal/traffic"
@@ -135,11 +134,15 @@ func CollectiveSynth(op collective.Op, dur Durations, seed uint64) *CollResult {
 			Scheme: s, Dur: dur, Seed: seed}
 		co := base
 		co.Collective = &spec
-		si := i
-		co.CollectiveDone = func(p collective.Progress) { progs[si] = p }
+		co.CollectiveDone = func(p collective.Progress) { progs[i] = p }
 		rcs = append(rcs, base, co)
 	}
-	cols := RunParallel(rcs)
+	return collResult(res, schemes, RunParallel(rcs), progs)
+}
+
+// collResult fills res's per-scheme rows from (base, co-run) collector
+// pairs and the co-runs' collective progress, in scheme order.
+func collResult(res *CollResult, schemes []Scheme, cols []*stats.Collector, progs []collective.Progress) *CollResult {
 	for si, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
 		base := make([]float64, len(res.Apps))
@@ -164,13 +167,13 @@ func CollectiveSynth(op collective.Op, dur Durations, seed uint64) *CollResult {
 // homed in (and must round-trip through) the aggressor's region.
 const CollSharedFrac = 0.40
 
-// RunCollectivePARSEC executes one PARSEC/collective co-run point: the
-// PARSEC proxies (blackscholes, swaptions, fluidanimate) on quadrants 0-2
-// through the Table 1 memory system with CollSharedFrac shared homes, and —
-// when op is non-nil — the collective on quadrant 3. The returned collector
-// covers the victim applications only; the collective's own outcome is the
-// returned progress (zero-valued when op is nil).
-func RunCollectivePARSEC(s Scheme, op *collective.Op, dur Durations, seed uint64) (*stats.Collector, collective.Progress) {
+// collectivePARSECConfig is one PARSEC/collective co-run point: the PARSEC
+// proxies (blackscholes, swaptions, fluidanimate) on quadrants 0-2 through
+// the Table 1 memory system with CollSharedFrac shared homes, and — when op
+// is non-nil — the collective on quadrant 3. Its collector covers the
+// victim applications only; set CollectiveDone to receive the collective's
+// own outcome.
+func collectivePARSECConfig(s Scheme, op *collective.Op, dur Durations, seed uint64) RunConfig {
 	mesh := Mesh8()
 	regs := region.Quadrants(mesh)
 	profiles := workload.Profiles()
@@ -180,55 +183,17 @@ func RunCollectivePARSEC(s Scheme, op *collective.Op, dur Durations, seed uint64
 			streams[node] = workload.NewStream(profiles[app], app, node)
 		}
 	}
-	cfg := MemsysRouterConfig()
-
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	var sys *memsys.System
-	var src *collective.Source
-	net := network.New(network.Params{
-		Router:  cfg,
-		Regions: regs,
-		Alg:     s.Alg(mesh),
-		Sel:     s.Sel(regs, cfg),
-		Policy:  s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			if src != nil && p.App == CollectiveApp {
-				src.Deliver(p, now)
-				return
-			}
-			sys.HandleEject(p, now)
-			col.OnEject(p, now)
-		},
-	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
 	mcfg := memsys.DefaultSystemConfig()
 	mcfg.SharedFrac = CollSharedFrac
-	sys = memsys.New(mcfg, regs, streams, seed, inject)
-	sys.Prewarm(PrewarmAccesses)
-
-	end := dur.Warmup + dur.Measure
+	rc := RunConfig{Regions: regs, Router: MemsysRouterConfig(), Streams: streams, MemCfg: &mcfg,
+		Scheme: s, Dur: dur, Seed: seed}
 	if op != nil {
 		// Long data packets ride the response class, like the memory
 		// system's own data replies.
-		src = collective.NewSource(NewCollectiveSpec(*op, regs, CollectiveApp, msg.ClassResponse), seed, inject)
-		src.Until = end
+		spec := NewCollectiveSpec(*op, regs, CollectiveApp, msg.ClassResponse)
+		rc.Collective = &spec
 	}
-	for now := int64(0); now < end; now++ {
-		sys.Tick(now)
-		if src != nil {
-			src.Tick(now)
-		}
-		net.Tick(now)
-	}
-	for now := end; now < end+dur.Drain && !net.Drained(); now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
-	var prog collective.Progress
-	if src != nil {
-		prog = src.Progress()
-	}
-	return col, prog
+	return rc
 }
 
 // CollectivePARSEC runs the PARSEC co-run comparison for one collective
@@ -243,40 +208,12 @@ func CollectivePARSEC(op collective.Op, dur Durations, seed uint64) *CollResult 
 	for _, p := range workload.Profiles()[:3] {
 		res.Apps = append(res.Apps, p.Name)
 	}
-	type out struct {
-		col  *stats.Collector
-		prog collective.Progress
-	}
-	jobs := make([]out, 2*len(schemes))
-	done := make(chan struct{})
+	progs := make([]collective.Progress, len(schemes))
+	var rcs []RunConfig
 	for i, s := range schemes {
-		go func(i int, s Scheme) {
-			c, _ := RunCollectivePARSEC(s, nil, dur, seed)
-			jobs[2*i] = out{col: c}
-			done <- struct{}{}
-		}(i, s)
-		go func(i int, s Scheme) {
-			o := op
-			c, p := RunCollectivePARSEC(s, &o, dur, seed)
-			jobs[2*i+1] = out{col: c, prog: p}
-			done <- struct{}{}
-		}(i, s)
+		co := collectivePARSECConfig(s, &op, dur, seed)
+		co.CollectiveDone = func(p collective.Progress) { progs[i] = p }
+		rcs = append(rcs, collectivePARSECConfig(s, nil, dur, seed), co)
 	}
-	for range jobs {
-		<-done
-	}
-	for si, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-		base := make([]float64, len(res.Apps))
-		co := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			base[ai] = jobs[2*si].col.App(ai).Mean()
-			co[ai] = jobs[2*si+1].col.App(ai).Mean()
-		}
-		res.Base = append(res.Base, base)
-		res.Co = append(res.Co, co)
-		res.CCT = append(res.CCT, jobs[2*si+1].prog.CompletionTime())
-		res.Rounds = append(res.Rounds, jobs[2*si+1].prog.Rounds)
-	}
-	return res
+	return collResult(res, schemes, RunParallel(rcs), progs)
 }

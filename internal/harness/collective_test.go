@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"rair/internal/msg"
 	"rair/internal/network"
 	"rair/internal/region"
-	"rair/internal/stats"
 	"rair/internal/telemetry"
 	"rair/internal/topology"
 )
@@ -154,19 +152,9 @@ func sameCycleDeliveries(events []collEvent, ev collEvent) int {
 	return n
 }
 
-// collectorSurface summarizes the comparable surface of a victim collector.
-func collectorSurface(c *stats.Collector) string {
-	s := fmt.Sprintf("pkts=%d apl=%v net=%v p99=%v", c.Packets(), c.APL(), c.Network().Mean(), c.Total().Percentile(99))
-	for _, app := range c.Apps() {
-		s += fmt.Sprintf(" app%d=%v", app, c.App(app).Mean())
-	}
-	return s
-}
-
 // TestCollectiveRunDeterminism: a co-run with a collective must produce
 // bit-identical victim statistics and collective progress across tick-engine
-// worker counts and lockstep batch widths — the determinism-matrix entry for
-// the closed-loop source.
+// worker counts — the determinism-matrix entry for the closed-loop source.
 func TestCollectiveRunDeterminism(t *testing.T) {
 	regs, apps, spec := CollectiveScenario(collective.RingAllReduce)
 	var refProg collective.Progress
@@ -185,32 +173,16 @@ func TestCollectiveRunDeterminism(t *testing.T) {
 	if refProg.Rounds == 0 || refProg.Delivered() == 0 {
 		t.Fatalf("reference collective made no progress: %+v", refProg)
 	}
-	want := collectorSurface(ref)
+	want := ref.Surface()
 
 	for _, workers := range []int{2, 4} {
 		var prog collective.Progress
 		got := Run(mkRC(workers, &prog))
-		if s := collectorSurface(got); s != want {
+		if s := got.Surface(); s != want {
 			t.Fatalf("workers=%d: victim stats diverge\n got %s\nwant %s", workers, s, want)
 		}
 		if !reflect.DeepEqual(prog, refProg) {
 			t.Fatalf("workers=%d: collective progress diverges\n got %+v\nwant %+v", workers, prog, refProg)
-		}
-	}
-	for _, width := range []int{1, 4} {
-		progs := make([]collective.Progress, 3)
-		var rcs []RunConfig
-		for i := range progs {
-			rcs = append(rcs, mkRC(0, &progs[i]))
-		}
-		cols := RunBatch(rcs, width)
-		for i, c := range cols {
-			if s := collectorSurface(c); s != want {
-				t.Fatalf("width=%d sim %d: victim stats diverge\n got %s\nwant %s", width, i, s, want)
-			}
-			if !reflect.DeepEqual(progs[i], refProg) {
-				t.Fatalf("width=%d sim %d: collective progress diverges", width, i)
-			}
 		}
 	}
 }

@@ -2,15 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"rair/internal/policy"
 
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
+	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/stats"
-	"rair/internal/traffic"
 	"rair/internal/workload"
 )
 
@@ -101,55 +99,18 @@ func (r *Fig17Result) Table() *Table {
 // application experiments (requests and responses on disjoint VC sets).
 func MemsysRouterConfig() router.Config { return router.DefaultConfig(int(msg.NumClasses)) }
 
-// RunPARSEC executes one PARSEC-proxy simulation under a scheme, optionally
-// with the adversarial injector, and returns the latency collector
-// (covering the applications' packets only; adversarial packets are
-// excluded from statistics, as the paper reports slowdown of the normal
-// applications).
-func RunPARSEC(s Scheme, withAdversary bool, dur Durations, seed uint64) *stats.Collector {
+// parsecConfig is one PARSEC-proxy simulation point under a scheme,
+// optionally with the adversarial injector. Its collector covers the
+// applications' packets only: adversarial packets are excluded, as the
+// paper reports the slowdown of the normal applications.
+func parsecConfig(s Scheme, withAdversary bool, dur Durations, seed uint64) RunConfig {
 	regs, streams := PARSECScenario()
-	mesh := regs.Mesh()
-	cfg := MemsysRouterConfig()
-
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	var sys *memsys.System
-	net := network.New(network.Params{
-		Router:  cfg,
-		Regions: regs,
-		Alg:     s.Alg(mesh),
-		Sel:     s.Sel(regs, cfg),
-		Policy:  s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			sys.HandleEject(p, now)
-			if p.App != AdversaryApp {
-				col.OnEject(p, now)
-			}
-		},
-	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
-	sys = memsys.New(memsys.DefaultSystemConfig(), regs, streams, seed, inject)
-	sys.Prewarm(PrewarmAccesses)
-
-	var adv *traffic.Generator
+	rc := RunConfig{Regions: regs, Router: MemsysRouterConfig(), Streams: streams,
+		Scheme: s, Dur: dur, Seed: seed, AdversaryApp: AdversaryApp}
 	if withAdversary {
-		app := traffic.Adversary(mesh, AdversaryApp, AdversaryFlitRate/3)
-		adv = traffic.NewGenerator([]traffic.AppTraffic{app}, seed^0xadadad, inject)
-		adv.Until = dur.Warmup + dur.Measure
+		rc.Adversary = AdversaryFlitRate
 	}
-
-	end := dur.Warmup + dur.Measure
-	for now := int64(0); now < end; now++ {
-		sys.Tick(now)
-		if adv != nil {
-			adv.Tick(now)
-		}
-		net.Tick(now)
-	}
-	for now := end; now < end+dur.Drain && !net.Drained(); now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
-	return col
+	return rc
 }
 
 // fig17Schemes mirrors the Figures 14-17 comparison with PARSEC ranks for
@@ -161,9 +122,8 @@ func fig17Schemes() []Scheme {
 // Fig17Adversarial reproduces Figure 17: APL slowdown of the four PARSEC
 // proxies when chip-wide adversarial traffic is added, per scheme.
 func Fig17Adversarial(dur Durations, seed uint64) *Fig17Result {
-	res := adversarialRun(fig17Schemes(), dur, seed)
-	res.Title = "Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)"
-	return res
+	return adversarialRun("Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)",
+		fig17Schemes(), dur, seed)
 }
 
 // AblateAgeBased contrasts the oldest-first baseline (Abts & Weisser, the
@@ -177,9 +137,7 @@ func AblateAgeBased(dur Durations, seed uint64) *Fig17Result {
 		{Name: "RO_Age", Policy: policy.NewAge},
 		RAIR("RA_RAIR"),
 	}
-	res := adversarialRun(schemes, dur, seed)
-	res.Title = "Oldest-first arbitration under the adversarial flood"
-	return res
+	return adversarialRun("Oldest-first arbitration under the adversarial flood", schemes, dur, seed)
 }
 
 // AblateBatching sweeps RO_Rank's batching interval under the adversarial
@@ -193,38 +151,25 @@ func AblateBatching(intervals []int64, dur Durations, seed uint64) *Fig17Result 
 			Policy: policy.NewRankFactoryInterval(PARSECRanks(), iv),
 		})
 	}
-	res := adversarialRun(schemes, dur, seed)
-	res.Title = "STC batching-interval ablation under the adversarial flood"
-	return res
+	return adversarialRun("STC batching-interval ablation under the adversarial flood", schemes, dur, seed)
 }
 
-func adversarialRun(schemes []Scheme, dur Durations, seed uint64) *Fig17Result {
-	res := &Fig17Result{}
+// adversarialRun runs every scheme on the PARSEC proxies without and with
+// the adversarial flood.
+func adversarialRun(title string, schemes []Scheme, dur Durations, seed uint64) *Fig17Result {
+	var rcs []RunConfig
+	for _, s := range schemes {
+		rcs = append(rcs, parsecConfig(s, false, dur, seed), parsecConfig(s, true, dur, seed))
+	}
+	return slowdownResult(title, schemes, RunParallel(rcs))
+}
+
+// slowdownResult tabulates per-scheme PARSEC application latencies from
+// (base, adversarial) collector pairs in scheme order.
+func slowdownResult(title string, schemes []Scheme, cols []*stats.Collector) *Fig17Result {
+	res := &Fig17Result{Title: title}
 	for _, p := range workload.Profiles() {
 		res.Apps = append(res.Apps, p.Name)
-	}
-	type job struct {
-		scheme Scheme
-		adv    bool
-	}
-	var jobs []job
-	for _, s := range schemes {
-		jobs = append(jobs, job{s, false}, job{s, true})
-	}
-	cols := make([]*stats.Collector, len(jobs))
-	// PARSEC runs are heavyweight; reuse the generic pool semantics by
-	// running sequentially on a single CPU and concurrently otherwise.
-	done := make(chan int)
-	running := 0
-	for i, j := range jobs {
-		go func(i int, j job) {
-			cols[i] = RunPARSEC(j.scheme, j.adv, dur, seed)
-			done <- i
-		}(i, j)
-		running++
-	}
-	for ; running > 0; running-- {
-		<-done
 	}
 	for si, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)

@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"rair/internal/memsys"
-	"rair/internal/msg"
-	"rair/internal/network"
+	"fmt"
+
 	"rair/internal/stats"
 	"rair/internal/trace"
-	"rair/internal/traffic"
-	"rair/internal/workload"
 )
 
 // RecordPARSECTrace captures the PARSEC-proxy scenario's packet injections
@@ -15,25 +12,11 @@ import (
 // step of the paper's methodology (SIMICS+GEMS traces fed to GARNET).
 func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
 	regs, streams := PARSECScenario()
-	s := RORR()
-	cfg := MemsysRouterConfig()
 	var rec trace.Recorder
-	var sys *memsys.System
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(regs.Mesh()), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: func(p *msg.Packet, now int64) { sys.HandleEject(p, now) },
-	})
-	sys = memsys.New(memsys.DefaultSystemConfig(), regs, streams, seed,
-		func(node int, p *msg.Packet, now int64) {
-			rec.Capture(node, p, now)
-			net.NI(node).Inject(p, now)
-		})
-	sys.Prewarm(PrewarmAccesses)
-	for now := int64(0); now < cycles; now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
+	s := Build(RunConfig{Regions: regs, Router: MemsysRouterConfig(), Streams: streams,
+		Scheme: RORR(), Dur: Durations{Measure: cycles}, Seed: seed, Tap: rec.Capture})
+	defer s.Close()
+	s.Run()
 	rec.T.Sort()
 	return &rec.T
 }
@@ -47,45 +30,35 @@ func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
 // is the meaningful output.
 const TraceAdversaryFlitRate = AdversaryFlitRate
 
-// ReplayPARSEC replays a captured trace under a scheme, with an optional
-// adversarial injector at advRate flits/node/cycle (0 = none), returning
-// the latency collector for the applications' packets. Unlike the
-// closed-loop RunPARSEC, replay holds the traffic identical across schemes
-// — the paper's trace-driven comparison.
-func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup int64, seed uint64) *stats.Collector {
+// traceDrain bounds how long Fig17Trace's replays may run past the trace's
+// last event before their in-flight packets are dropped from the count.
+const traceDrain = 100000
+
+// replayConfig is the replay of t on the PARSEC mesh under a scheme, with
+// an optional adversarial injector at advRate flits/node/cycle (0 = none).
+// Packets injected from cycle warmup up to the trace's end are measured.
+func replayConfig(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64) RunConfig {
 	regs, _ := PARSECScenario()
-	mesh := regs.Mesh()
-	cfg := MemsysRouterConfig()
-	col := stats.NewCollector(warmup, t.Duration())
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(mesh), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			if p.App != AdversaryApp {
-				col.OnEject(p, now)
-			}
-		},
-	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
-	player := trace.NewPlayer(t, inject)
-	var adv *traffic.Generator
-	if advRate > 0 {
-		app := traffic.Adversary(mesh, AdversaryApp, advRate/3)
-		adv = traffic.NewGenerator([]traffic.AppTraffic{app}, seed^0xadadad, inject)
-		adv.Until = t.Duration()
+	return RunConfig{Regions: regs, Router: MemsysRouterConfig(), Trace: t, Scheme: s,
+		Dur:  Durations{Warmup: warmup, Measure: t.Duration() - warmup, Drain: drain},
+		Seed: seed, Adversary: advRate, AdversaryApp: AdversaryApp}
+}
+
+// ReplayPARSEC replays a captured trace under a scheme, with an optional
+// adversarial injector at advRate flits/node/cycle (0 = none), and returns
+// the latency collector for the applications' packets and the cycles
+// simulated. Unlike the closed-loop PARSEC runs, replay holds the traffic
+// identical across schemes — the paper's trace-driven comparison. The
+// error reports a network still holding packets drain cycles after the
+// trace's end.
+func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64) (*stats.Collector, int64, error) {
+	sm := Build(replayConfig(t, s, advRate, warmup, drain, seed))
+	defer sm.Close()
+	sm.Run()
+	if !sm.Drain() {
+		return sm.Col, sm.Now(), fmt.Errorf("replay under %s: network still undrained %d cycles past the trace end", s.Name, drain)
 	}
-	limit := t.Duration() + 100000
-	for now := int64(0); now < limit; now++ {
-		player.Tick(now)
-		if adv != nil {
-			adv.Tick(now)
-		}
-		net.Tick(now)
-		if player.Done() && (adv == nil || now >= t.Duration()) && net.Drained() {
-			break
-		}
-	}
-	return col
+	return sm.Col, sm.Now(), nil
 }
 
 // Fig17Trace is the trace-driven variant of Figure 17: one PARSEC trace is
@@ -94,22 +67,11 @@ func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup int64, seed 
 func Fig17Trace(dur Durations, seed uint64) *Fig17Result {
 	t := RecordPARSECTrace(dur.Warmup+dur.Measure, seed)
 	schemes := fig17Schemes()
-	res := &Fig17Result{Title: "Figure 17 (trace-driven replay variant)"}
-	for _, p := range workload.Profiles() {
-		res.Apps = append(res.Apps, p.Name)
-	}
+	var rcs []RunConfig
 	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-		base := ReplayPARSEC(t, s, 0, dur.Warmup, seed)
-		adv := ReplayPARSEC(t, s, TraceAdversaryFlitRate, dur.Warmup, seed)
-		bRow := make([]float64, len(res.Apps))
-		aRow := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			bRow[ai] = base.App(ai).Mean()
-			aRow[ai] = adv.App(ai).Mean()
-		}
-		res.Base = append(res.Base, bRow)
-		res.Adv = append(res.Adv, aRow)
+		rcs = append(rcs,
+			replayConfig(t, s, 0, dur.Warmup, traceDrain, seed),
+			replayConfig(t, s, TraceAdversaryFlitRate, dur.Warmup, traceDrain, seed))
 	}
-	return res
+	return slowdownResult("Figure 17 (trace-driven replay variant)", schemes, RunParallel(rcs))
 }

@@ -285,6 +285,27 @@ func TestRecordPARSECTraceValid(t *testing.T) {
 	}
 }
 
+// TestReplayDrainLimit: a replay whose network still holds packets when
+// the drain limit expires reports an error; a sufficient limit drains
+// cleanly and measures the same packets as any longer one.
+func TestReplayDrainLimit(t *testing.T) {
+	tr := RecordPARSECTrace(3000, 1)
+	if _, _, err := ReplayPARSEC(tr, RAIR("RA_RAIR"), 0, 500, 1, 1); err == nil {
+		t.Fatal("replay with a 1-cycle drain limit reported no error")
+	}
+	col, cycles, err := ReplayPARSEC(tr, RAIR("RA_RAIR"), 0, 500, 20000, 1)
+	if err != nil {
+		t.Fatalf("replay with a 20000-cycle drain limit: %v", err)
+	}
+	if col.Packets() == 0 || cycles <= tr.Duration() {
+		t.Fatalf("replay measured %d packets over %d cycles (trace ends at %d)", col.Packets(), cycles, tr.Duration())
+	}
+	longer, _, err := ReplayPARSEC(tr, RAIR("RA_RAIR"), 0, 500, 40000, 1)
+	if err != nil || longer.Surface() != col.Surface() {
+		t.Fatalf("a longer drain limit changed the replay (%v)\n got %s\nwant %s", err, longer.Surface(), col.Surface())
+	}
+}
+
 func TestCharacterizeWorkloads(t *testing.T) {
 	res := CharacterizeWorkloads(30000, 1)
 	if len(res.Rows) != 13 {

@@ -11,14 +11,17 @@ import (
 	"rair/internal/collective"
 	"rair/internal/faults"
 	"rair/internal/invariant"
+	"rair/internal/memsys"
 	"rair/internal/msg"
 	"rair/internal/network"
 	"rair/internal/region"
 	"rair/internal/router"
+	"rair/internal/routing"
 	"rair/internal/sim"
 	"rair/internal/stats"
 	"rair/internal/telemetry"
 	"rair/internal/topology"
+	"rair/internal/trace"
 	"rair/internal/traffic"
 )
 
@@ -64,7 +67,7 @@ type RunConfig struct {
 	// Bernoulli apps: its packets are delivered back to the collective
 	// source (driving the phase dependency barriers) instead of the
 	// statistics collector, so Apps' latency figures measure the victim
-	// applications only, the way RunPARSEC excludes the adversary.
+	// applications only, the way PARSEC runs exclude the adversary.
 	Collective *collective.Spec
 	// CollectiveDone, if set, receives the collective's final progress
 	// snapshot when the run (including drain) finishes.
@@ -81,6 +84,31 @@ type RunConfig struct {
 	// per router. Scenario builders model the extra cores by duplicating
 	// app Nodes entries, so per-router load scales with the factor.
 	Concentration int
+	// Streams, if non-nil, drives the Table 1 memory system with one
+	// address stream per node (nil entries are idle cores); MemCfg, if
+	// non-nil, replaces memsys.DefaultSystemConfig. The memory system
+	// keeps packets across protocol round-trips, so such runs recycle no
+	// packets.
+	Streams []memsys.AddressStream
+	MemCfg  *memsys.SystemConfig
+	// Trace, if non-nil, replays a recorded trace alongside Apps; the
+	// drain phase then also waits for its last event.
+	Trace *trace.Trace
+	// Adversary, if positive, adds a chip-wide uniform-random flood at
+	// that many flits per node per cycle under app AdversaryApp, which
+	// must be owned by no region. Its packets are excluded from the
+	// statistics collector.
+	Adversary    float64
+	AdversaryApp int
+	// Alg, if non-nil, replaces the scheme's routing algorithm.
+	Alg routing.Algorithm
+	// Profile enables engine self-profiling; see network.Params.Profile.
+	Profile bool
+	// Tap, if set, observes every injection before the network sees it.
+	// It must not retain the packet.
+	Tap func(node int, p *msg.Packet, now int64)
+	// Tickers run first every cycle, ahead of the traffic sources.
+	Tickers []sim.Tickable
 }
 
 // routerConfig is rc.Router with the concentration factor applied to the
@@ -93,83 +121,167 @@ func (rc RunConfig) routerConfig() router.Config {
 	return cfg
 }
 
-// Run executes one simulation point and returns its statistics collector.
-func Run(rc RunConfig) *stats.Collector {
-	col := stats.NewCollector(rc.Dur.Warmup, rc.Dur.Warmup+rc.Dur.Measure)
+// Sim is one assembled simulation point. Build is the only place a
+// simulation is wired: network, statistics collector, packet pool, memory
+// system, traffic sources, ejection dispatch and tick order.
+type Sim struct {
+	// Net is the network; Col collects the measured packets' statistics.
+	Net *network.Network
+	Col *stats.Collector
+
+	rc     RunConfig
+	eng    *sim.Engine
+	player *trace.Player      // nil without a trace
+	src    *collective.Source // nil without a co-running collective
+}
+
+// Build assembles rc. Components tick in a fixed order every cycle:
+// rc.Tickers, the memory system, the applications (synthetic, then trace),
+// the adversary, the collective, and last the network. Call Close when
+// done.
+func Build(rc RunConfig) *Sim {
+	s := &Sim{rc: rc, Col: stats.NewCollector(rc.Dur.Warmup, rc.Dur.Warmup+rc.Dur.Measure)}
 	mesh := rc.Regions.Mesh()
-	// The collector copies packet fields at ejection and nothing else
-	// observes packets, so every run can recycle them through a freelist.
-	pool := msg.NewPool()
-	// The collective source (when configured) consumes its own deliveries
-	// through OnEject, which the network runs on the ticking goroutine in
-	// node order — the dependency barriers are deterministic at any worker
-	// count. src is bound after the network exists; no ejection can occur
-	// before the first Tick.
-	var src *collective.Source
-	onEject := col.OnEject
-	if rc.Collective != nil {
-		onEject = func(p *msg.Packet, now int64) {
-			if p.App == rc.Collective.App {
-				src.Deliver(p, now)
-				return
-			}
-			col.OnEject(p, now)
+	// The collector copies packet fields at ejection, so unless the memory
+	// system holds on to packets every source can recycle them through a
+	// freelist.
+	var pool *msg.Pool
+	var recycle func(*msg.Packet)
+	if rc.Streams == nil {
+		pool = msg.NewPool()
+		recycle = pool.Put
+	}
+	// Ejections run on the ticking goroutine in node order at any worker
+	// count, so the memory system's protocol and the collective's
+	// dependency barriers stay deterministic. sys and s.src are bound
+	// below; no ejection can occur before the first tick.
+	var sys *memsys.System
+	onEject := func(p *msg.Packet, now int64) {
+		if s.src != nil && p.App == rc.Collective.App {
+			s.src.Deliver(p, now)
+			return
 		}
+		if sys != nil {
+			sys.HandleEject(p, now)
+		}
+		if rc.Adversary > 0 && p.App == rc.AdversaryApp {
+			return
+		}
+		s.Col.OnEject(p, now)
+	}
+	alg := rc.Alg
+	if alg == nil {
+		alg = rc.Scheme.Alg(mesh)
 	}
 	rcfg := rc.routerConfig()
 	net := network.New(network.Params{
 		Router:    rcfg,
 		Regions:   rc.Regions,
-		Alg:       rc.Scheme.Alg(mesh),
+		Alg:       alg,
 		Sel:       rc.Scheme.Sel(rc.Regions, rcfg),
 		Policy:    rc.Scheme.Policy,
 		OnEject:   onEject,
-		Recycle:   pool.Put,
+		Recycle:   recycle,
 		Workers:   rc.Workers,
 		Telemetry: rc.Telemetry,
 		Faults:    rc.Faults,
 		Check:     rc.Check,
+		Profile:   rc.Profile,
 		Chiplets:  rc.Chiplets,
 		XBar:      rc.XBar,
 	})
-	defer net.Close()
-	inject := func(node int, p *msg.Packet, now int64) {
-		net.Inject(p, now)
+	s.Net = net
+	inject := func(node int, p *msg.Packet, now int64) { net.Inject(p, now) }
+	if rc.Tap != nil {
+		inject = func(node int, p *msg.Packet, now int64) {
+			rc.Tap(node, p, now)
+			net.Inject(p, now)
+		}
 	}
-	gen := traffic.NewGenerator(rc.Apps, rc.Seed, inject)
-	gen.Pool = pool
-	end := rc.Dur.Warmup + rc.Dur.Measure
-	gen.Until = end
 
-	eng := sim.NewEngine()
-	eng.Register(gen)
+	s.eng = sim.NewEngine()
+	for _, t := range rc.Tickers {
+		s.eng.Register(t)
+	}
+	if rc.Streams != nil {
+		mcfg := memsys.DefaultSystemConfig()
+		if rc.MemCfg != nil {
+			mcfg = *rc.MemCfg
+		}
+		sys = memsys.New(mcfg, rc.Regions, rc.Streams, rc.Seed, inject)
+		sys.Prewarm(PrewarmAccesses)
+		s.eng.Register(sys)
+	}
+	end := rc.Dur.Warmup + rc.Dur.Measure
+	if len(rc.Apps) > 0 {
+		gen := traffic.NewGenerator(rc.Apps, rc.Seed, inject)
+		gen.Pool = pool
+		gen.Until = end
+		s.eng.Register(gen)
+	}
+	if rc.Trace != nil {
+		s.player = trace.NewPlayer(rc.Trace, inject)
+		s.player.Pool = pool
+		s.eng.Register(s.player)
+	}
+	if rc.Adversary > 0 {
+		app := traffic.Adversary(mesh, rc.AdversaryApp, rc.Adversary/3)
+		adv := traffic.NewGenerator([]traffic.AppTraffic{app}, rc.Seed^0xadadad, inject)
+		adv.Pool = pool
+		adv.Until = end
+		s.eng.Register(adv)
+	}
 	if rc.Collective != nil {
-		src = collective.NewSource(*rc.Collective, rc.Seed, inject)
-		src.Pool = pool
-		src.Until = end
-		eng.Register(src)
+		s.src = collective.NewSource(*rc.Collective, rc.Seed, inject)
+		s.src.Pool = pool
+		s.src.Until = end
+		s.eng.Register(s.src)
 	}
-	eng.Register(net)
-	eng.Run(end)
-	// Drain: the generator self-stops at Until, so ticking it is a no-op.
-	eng.RunUntil(net.Drained, rc.Dur.Drain)
-	if src != nil {
-		finishCollective(rc, src)
-	}
-	return col
+	s.eng.Register(net)
+	return s
 }
 
-// finishCollective publishes a finished run's collective progress: into the
-// telemetry collector's report (when instrumented) and to the caller's
-// CollectiveDone hook.
-func finishCollective(rc RunConfig, src *collective.Source) {
-	prog := src.Progress()
-	if rc.Telemetry != nil {
-		rc.Telemetry.AttachCollective(prog.Telemetry(rc.Collective.App))
+// Run advances the warmup and measurement phases.
+func (s *Sim) Run() { s.eng.Run(s.rc.Dur.Warmup + s.rc.Dur.Measure) }
+
+// Drain keeps ticking for at most Dur.Drain cycles until the network is
+// empty (and a replayed trace exhausted), then publishes a co-running
+// collective's final progress. It reports whether the run drained;
+// measured packets still in flight when it did not are simply not counted.
+func (s *Sim) Drain() bool {
+	ok := s.eng.RunUntil(s.drained, s.rc.Dur.Drain)
+	if s.src != nil {
+		prog := s.src.Progress()
+		if s.rc.Telemetry != nil {
+			s.rc.Telemetry.AttachCollective(prog.Telemetry(s.rc.Collective.App))
+		}
+		if s.rc.CollectiveDone != nil {
+			s.rc.CollectiveDone(prog)
+		}
 	}
-	if rc.CollectiveDone != nil {
-		rc.CollectiveDone(prog)
-	}
+	return ok
+}
+
+func (s *Sim) drained() bool {
+	return (s.player == nil || s.player.Done()) && s.Net.Drained()
+}
+
+// OnCycle registers a hook run on the ticking goroutine after every cycle.
+func (s *Sim) OnCycle(f func(cycle int64)) { s.eng.OnCycle(f) }
+
+// Now reports the number of completed cycles.
+func (s *Sim) Now() int64 { return s.eng.Now() }
+
+// Close releases the network's worker goroutines.
+func (s *Sim) Close() { s.Net.Close() }
+
+// Run executes one simulation point and returns its statistics collector.
+func Run(rc RunConfig) *stats.Collector {
+	s := Build(rc)
+	defer s.Close()
+	s.Run()
+	s.Drain()
+	return s.Col
 }
 
 // RunParallel executes every configuration concurrently and returns
@@ -181,8 +293,7 @@ func finishCollective(rc RunConfig, src *collective.Source) {
 // with intra-simulation parallelism don't multiply into CPU oversubscription.
 // The semaphore is acquired before the goroutine spawns, bounding live
 // goroutines (not merely running ones) for arbitrarily long rcs slices.
-// When the budget collapses to a single slot the whole slice is handed to
-// RunBatch instead — same results, no goroutine churn.
+// With a single slot the points simply run one after another.
 func RunParallel(rcs []RunConfig) []*stats.Collector {
 	out := make([]*stats.Collector, len(rcs))
 	maxW := 1
@@ -192,19 +303,11 @@ func RunParallel(rcs []RunConfig) []*stats.Collector {
 		}
 	}
 	slots := runtime.GOMAXPROCS(0) / maxW
-	if slots < 1 {
-		slots = 1
-	}
-	if slots == 1 && len(rcs) > 1 {
-		// One goroutine's worth of budget means no concurrency to exploit:
-		// run the points through the batch runner at width 1, which produces
-		// the same collectors without per-run goroutine and channel churn.
-		// Width is deliberately 1, not DefaultBatchWidth: a 64-node network's
-		// state slabs are larger than L2, so interleaving W networks per tick
-		// evicts each other's working set (measured +12% wall at width 2,
-		// +34% at width 4 on the saturated fig9 point) — lockstep widths
-		// above 1 only pay off when the interleaved working sets fit cache.
-		return RunBatch(rcs, 1)
+	if slots <= 1 {
+		for i, rc := range rcs {
+			out[i] = Run(rc)
+		}
+		return out
 	}
 	sem := make(chan struct{}, slots)
 	var wg sync.WaitGroup

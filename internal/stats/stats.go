@@ -238,6 +238,17 @@ func (c *Collector) String() string {
 		c.packets, c.APL(), c.total.Percentile(95), c.hops.Mean())
 }
 
+// Surface renders the statistics determinism checks compare — packet
+// count, APL, network-latency mean, p99 and every app's mean — at full
+// precision, so two runs agree exactly when their surfaces are equal.
+func (c *Collector) Surface() string {
+	s := fmt.Sprintf("pkts=%d apl=%v net=%v p99=%v", c.Packets(), c.APL(), c.Network().Mean(), c.Total().Percentile(99))
+	for _, app := range c.Apps() {
+		s += fmt.Sprintf(" app%d=%v", app, c.App(app).Mean())
+	}
+	return s
+}
+
 // Histogram renders an ASCII histogram of the distribution with the given
 // number of equal-width bins between min and max (clamped to [1, 40] bins).
 func (d *Dist) Histogram(bins int) string {

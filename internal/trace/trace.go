@@ -203,7 +203,10 @@ type Player struct {
 	// Repeat loops the trace when its end is reached, re-basing cycles;
 	// 0 plays once.
 	Repeat bool
-	base   int64
+	// Pool, when non-nil, supplies packet structs instead of the heap (see
+	// traffic.Generator.Pool).
+	Pool *msg.Pool
+	base int64
 }
 
 // NewPlayer builds a player over a validated trace.
@@ -234,13 +237,14 @@ func (p *Player) Tick(now int64) {
 		}
 		p.next++
 		p.nextID++
-		p.inject(int(e.Src), &msg.Packet{
-			ID:    p.nextID,
-			App:   int(e.App),
-			Src:   int(e.Src),
-			Dst:   int(e.Dst),
-			Class: e.Class,
-			Size:  int(e.Size),
-		}, now)
+		var pkt *msg.Packet
+		if p.Pool != nil {
+			pkt = p.Pool.Get()
+		} else {
+			pkt = &msg.Packet{}
+		}
+		pkt.ID, pkt.App, pkt.Src, pkt.Dst = p.nextID, int(e.App), int(e.Src), int(e.Dst)
+		pkt.Class, pkt.Size = e.Class, int(e.Size)
+		p.inject(int(e.Src), pkt, now)
 	}
 }

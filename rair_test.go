@@ -1,8 +1,14 @@
 package rair
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"rair/internal/harness"
+	"rair/internal/region"
+	"rair/internal/router"
+	"rair/internal/topology"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -258,5 +264,76 @@ func TestLBDRRestrictions(t *testing.T) {
 		{0, 0, 2, 8}, {2, 0, 6, 8}, {6, 0, 8, 8},
 	}}); err == nil {
 		t.Fatal("LBDR accepted an MC-less region")
+	}
+}
+
+// TestRunMatchesHarness pins the one-assembly-path contract: the public
+// Run and harness.Run, given the same scenario, build the same simulation,
+// so their collectors agree exactly on the serial and the sharded engine.
+func TestRunMatchesHarness(t *testing.T) {
+	ph := Phases{Warmup: 500, Measure: 3000, Drain: 5000}
+	for _, workers := range []int{0, 2} {
+		sim, err := New(Config{Layout: LayoutQuadrants, Scheme: "RA_RAIR", Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < 4; a++ {
+			if err := sim.AddApp(AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, got, err := sim.run(ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := harness.Run(harness.RunConfig{
+			Regions: region.Quadrants(topology.NewMesh(8, 8)),
+			Router:  router.DefaultConfig(1),
+			Apps:    sim.apps,
+			Scheme:  harness.RAIR("RA_RAIR"),
+			Dur:     harness.Durations{Warmup: ph.Warmup, Measure: ph.Measure, Drain: ph.Drain},
+			Seed:    5,
+			Workers: workers,
+		})
+		if want.Packets() == 0 {
+			t.Fatalf("workers=%d: harness run delivered nothing", workers)
+		}
+		if g, w := got.Surface(), want.Surface(); g != w {
+			t.Fatalf("workers=%d: public Run diverges from harness.Run\n got %s\nwant %s", workers, g, w)
+		}
+	}
+}
+
+// TestReportStringListsEveryApp: a custom layout may have any number of
+// regions, and the report's text must list every application's latency.
+func TestReportStringListsEveryApp(t *testing.T) {
+	rects := make([]Rect, 17)
+	for i := range rects {
+		rects[i] = Rect{X0: i, Y0: 0, X1: i + 1, Y1: 2}
+	}
+	sim, err := New(Config{MeshW: 17, MeshH: 2, Layout: LayoutCustom, Rects: rects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range rects {
+		if err := sim.AddApp(AppSpec{App: a, PacketRate: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := sim.Run(Phases{Warmup: 100, Measure: 2000, Drain: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PerApp) != 17 {
+		t.Fatalf("report covers %d apps, want 17", len(rep.PerApp))
+	}
+	s := rep.String()
+	for a := range rects {
+		if !strings.Contains(s, fmt.Sprintf("  app %d: APL ", a)) {
+			t.Fatalf("app %d missing from report:\n%s", a, s)
+		}
+	}
+	if strings.Index(s, "  app 2: ") > strings.Index(s, "  app 10: ") {
+		t.Fatalf("apps not in numeric order:\n%s", s)
 	}
 }
